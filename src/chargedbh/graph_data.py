@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .exact_rnt import (
     RntParams,
@@ -441,8 +440,42 @@ def flat_graph_data(n: int) -> RadialGraphData:
     )
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    # One-sided three-point estimate, limited so the end interval stays
+    # shape-preserving (Fritsch-Carlson end condition).
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(h, m):
+    """Knot derivatives of the monotone piecewise cubic Hermite interpolant.
+
+    ``h`` are the interval widths and ``m`` the secant slopes.  Interior
+    knots take the weighted harmonic mean of the neighbouring secants
+    (Fritsch & Butland 1984), or 0 at a local extremum, which keeps every
+    interval monotone (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980).
+    This is the scheme of scipy's ``PchipInterpolator``.
+    """
+    d = np.zeros(m.size + 1)
+    k = np.flatnonzero((np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0))
+    w1, w2 = 2.0 * h[k + 1] + h[k], h[k + 1] + 2.0 * h[k]
+    d[k + 1] = 1.0 / ((w1 / m[k] + w2 / m[k + 1]) / (w1 + w2))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
 class _TableProfile:
-    """Monotone interpolant of tabulated du/dr with a power-law tail."""
+    """Tabulated du/dr: monotone cubic inside the table, power-law tail past it.
+
+    Inside the table the profile is the PCHIP interpolant (:func:`_pchip_slopes`);
+    below the first radius it holds the first value; past the last radius it
+    continues as c r^p with p fitted over the last quarter-decade.
+    """
 
     def __init__(self, r, dudr):
         r = np.asarray(r, dtype=float)
@@ -451,7 +484,13 @@ class _TableProfile:
             raise ValueError("profile table needs at least 4 rows")
         if np.any(np.diff(r) <= 0.0):
             raise ValueError("table radii must be strictly increasing")
-        self._interp = PchipInterpolator(r, dudr, extrapolate=False)
+        h = np.diff(r)
+        m = np.diff(dudr) / h
+        d = _pchip_slopes(h, m)
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        # per-interval cubic in s = r - r_i, highest power first
+        self._coef = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], dudr[:-1]])
+        self._knots = r
         self.r_min, self.r_max = float(r[0]), float(r[-1])
         # tail slope from the last decade of the table
         mask = r >= self.r_max / 4.0
@@ -466,10 +505,13 @@ class _TableProfile:
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        out = self._interp(np.clip(r, self.r_min, self.r_max))
+        inside = np.clip(r, self.r_min, self.r_max)
+        i = np.clip(np.searchsorted(self._knots, inside, side="right") - 1, 0, self._knots.size - 2)
+        s = inside - self._knots[i]
+        c3, c2, c1, c0 = self._coef[:, i]
         with np.errstate(over="ignore"):
             tail = self._c * np.clip(r, self.r_min, None) ** self._p
-        out = np.where(r > self.r_max, tail, out)
+        out = np.where(r > self.r_max, tail, c0 + s * (c1 + s * (c2 + s * c3)))
         return float(out) if out.ndim == 0 else out
 
 
@@ -503,12 +545,21 @@ def table_graph_data(
 # data definition files
 
 
+_DATA_FILE_KEYS = frozenset(
+    ("n", "profile", "m", "q", "charge_scale", "eps", "width", "field", "table", "charge",
+     "horizon")
+)
+_HORIZON_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def load_graph_data(path) -> RadialGraphData:
     """Read a data definition file (plain ``key = value`` lines, # comments).
 
-    Recognized keys: n, profile (rnt | rnt-perturbed | table), m, q,
+    Recognized keys: n, profile (rnt | rnt-perturbed | flat | table), m, q,
     charge_scale, eps, width, field (rnt | none), table (path to a two-column
-    r/dudr file, relative to the definition file), charge, horizon.
+    r/dudr file, relative to the definition file), charge, horizon
+    (true | false).  Unknown keys, unknown values and missing required keys
+    raise ValueError.
     """
     import os
 
@@ -523,23 +574,31 @@ def load_graph_data(path) -> RadialGraphData:
             key, _, value = line.partition("=")
             entries[key.strip()] = value.strip()
 
-    try:
-        n = int(entries["n"])
-        profile = entries.get("profile", "rnt")
-    except KeyError as exc:
-        raise ValueError(f"data file missing required key: {exc}") from exc
+    unknown = sorted(set(entries) - _DATA_FILE_KEYS)
+    if unknown:
+        raise ValueError(f"unknown key(s) in data file: {', '.join(unknown)}")
 
+    def required(key):
+        if key not in entries:
+            raise ValueError(f"data file missing required key {key!r}")
+        return entries[key]
+
+    n = int(required("n"))
+    profile = entries.get("profile", "rnt")
+    field = entries.get("field", "rnt")
+    if field not in ("rnt", "none"):
+        raise ValueError(f"field must be 'rnt' or 'none', got {field!r}")
     charge_scale = float(entries.get("charge_scale", "1.0"))
-    if entries.get("field", "rnt") == "none":
+    if field == "none":
         charge_scale = 0.0
 
     if profile == "rnt":
-        return rnt_graph_data(n, float(entries["m"]), float(entries["q"]), charge_scale)
+        return rnt_graph_data(n, float(required("m")), float(required("q")), charge_scale)
     if profile == "rnt-perturbed":
         return perturbed_rnt_graph_data(
             n,
-            float(entries["m"]),
-            float(entries["q"]),
+            float(required("m")),
+            float(required("q")),
             float(entries.get("eps", "0.0")),
             float(entries.get("width", "1.0")),
             charge_scale,
@@ -547,15 +606,20 @@ def load_graph_data(path) -> RadialGraphData:
     if profile == "flat":
         return flat_graph_data(n)
     if profile == "table":
-        table_path = entries["table"]
+        table_path = required("table")
         if not os.path.isabs(table_path):
             table_path = os.path.join(os.path.dirname(os.path.abspath(path)), table_path)
-        rows = np.loadtxt(table_path)
+        horizon = entries.get("horizon", "false").lower()
+        if horizon not in _HORIZON_VALUES:
+            raise ValueError(f"horizon must be true or false, got {horizon!r}")
+        rows = np.loadtxt(table_path, ndmin=2)
+        if rows.shape[1] != 2:
+            raise ValueError("profile table needs two columns (r, du/dr)")
         return table_graph_data(
             n,
             rows[:, 0],
             rows[:, 1],
             charge=float(entries.get("charge", "0.0")) * charge_scale,
-            horizon=entries.get("horizon", "false").lower() in ("true", "1", "yes"),
+            horizon=_HORIZON_VALUES[horizon],
         )
     raise ValueError(f"unknown profile kind {profile!r}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from .exact_rnt import area_radius_power, mass_coefficient, unit_sphere_area
@@ -39,8 +40,15 @@ def af_scalar_constant(n: int) -> float:
     return (n - 1) * (n - 2) * omega / ((n - 1) * omega) ** ((n - 3) / (n - 2))
 
 
+def _canonical(value) -> str:
+    # numbers hash by their float value, so 3, 3.0 and np.float64(3.0) agree
+    if isinstance(value, numbers.Real):
+        return float(value).hex()
+    return repr(value)
+
+
 def _digest(payload: dict) -> str:
-    canon = json.dumps({k: repr(v) for k, v in sorted(payload.items())})
+    canon = json.dumps({k: _canonical(v) for k, v in sorted(payload.items())})
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 

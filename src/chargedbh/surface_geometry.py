@@ -24,13 +24,13 @@ flat space is R_k = 2K.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import legval
-from scipy.special import roots_jacobi, roots_legendre
 
 from .exact_rnt import unit_sphere_area
 
@@ -83,6 +83,27 @@ class SphereGrid:
         return dth
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_jacobi(nodes: int, alpha: float):
+    """Gauss nodes (ascending) and weights for the weight (1 - x^2)^alpha on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the Gegenbauer recurrence and the weights are mu_0 times
+    the squared first eigenvector components; alpha = 0 is Gauss-Legendre.
+    Cached per (nodes, alpha); the arrays are shared, hence read-only.
+    """
+    k = np.arange(1.0, nodes)
+    off = np.sqrt(k * (k + 2.0 * alpha) / ((2.0 * k + 2.0 * alpha) ** 2 - 1.0))
+    x, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mu0 = 2.0 ** (2.0 * alpha + 1.0) * math.exp(
+        2.0 * math.lgamma(alpha + 1.0) - math.lgamma(2.0 * alpha + 2.0)
+    )
+    w = mu0 * vec[0] ** 2
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])  # exact reflection symmetry
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _barycentric_weights(x: np.ndarray) -> np.ndarray:
     d = x[:, None] - x[None, :]
     np.fill_diagonal(d, 1.0)
@@ -108,11 +129,7 @@ def axisymmetric_grid(n: int, nodes: int = 128) -> SphereGrid:
         raise ValueError("ambient dimension must be >= 3")
     if nodes < 8:
         raise ValueError("need at least 8 nodes")
-    alpha = 0.5 * (n - 3)
-    if alpha == 0.0:
-        x, w = roots_legendre(nodes)
-    else:
-        x, w = roots_jacobi(nodes, alpha, alpha)
+    x, w = _gauss_jacobi(nodes, 0.5 * (n - 3))
     order = np.argsort(-x)  # theta increasing from the north pole
     x, w = x[order], w[order]
     weights = w * unit_sphere_area(n - 1)
@@ -150,7 +167,7 @@ def full_grid(n_lat: int = 128, n_lon: int = 256) -> SphereGrid:
         raise ValueError("need at least 8 nodes per direction")
     if n_lon % 2 != 0:
         raise ValueError("longitude count must be even (pole reflection)")
-    x, w = roots_legendre(n_lat)
+    x, w = _gauss_jacobi(n_lat, 0.0)
     order = np.argsort(-x)
     x, w = x[order], w[order]
     theta = np.arccos(x)

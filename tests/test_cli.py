@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, outputs, determinism, schemas."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -154,6 +158,21 @@ class TestVerify:
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["verify", "--data", str(tmp_path / "absent.txt")]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n = 3\nprofile = rnt\nq = 0.5\n", "missing required key 'm'"),
+            ("n = 3\nprofile = rnt\nm = 1\n", "missing required key 'q'"),
+            ("n = 3\nprofile = rnt\nm = 1\nq = 0.5\nfield = nonsense\n", "field must be"),
+            ("n = 3\nprofile = rnt\nm = 1\nq = 0.5\ncharg = 2\n", "unknown key(s)"),
+        ],
+    )
+    def test_bad_data_file_exit_2(self, tmp_path, capsys, text, message):
+        data = self._write(tmp_path, text)
+        assert run(["verify", "--data", data]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
 
 class TestSweep:
     def test_grid_rows_and_zero_slack(self, tmp_path):
@@ -197,6 +216,42 @@ class TestSweep:
         run(args + ["--csv", str(a), "--jobs", "1"])
         run(args + ["--csv", str(b), "--jobs", "4"])
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_commands_never_import_scipy(tmp_path):
+    # scipy is a test-only dependency; a fresh interpreter running one of
+    # each command must not load it
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        import chargedbh
+        from chargedbh.cli import main
+
+        r = np.geomspace(1.0, 1e4, 200)
+        np.savetxt("profile.tsv", np.column_stack([r, np.sqrt(2.0 / r)]))
+        with open("table.txt", "w") as handle:
+            handle.write("n = 3\\nprofile = table\\ntable = profile.tsv\\n")
+        codes = [
+            main(["imcf-run", "--n", "4", "--resolution", "16", "--shape", "spheroid",
+                  "--t-end", "0.05", "--dt", "0.005", "--json", "f.json", "--csv", "f.csv"]),
+            main(["verify", "--data", "table.txt", "--resolution", "16", "--out", "v.json"]),
+            main(["sweep", "--n-list", "3,4", "--m-list", "1", "--q-list", "0,0.5",
+                  "--csv", "s.csv"]),
+            main(["rnt-report", "--n", "3", "--m", "1", "--q", "0.5", "--out", "r.json"]),
+        ]
+        print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cb.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", script],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[0, 0, 0, 0] []"
 
 
 class TestDeterminism:

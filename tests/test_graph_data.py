@@ -1,13 +1,16 @@
 """Graph data sets: metric, curvature, mass formula, asymptotic flux."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 import chargedbh as cb
 from chargedbh.graph_data import (
+    _TableProfile,
     DecayError,
     TruncationWarning,
     check_decay,
@@ -359,6 +362,47 @@ class TestDataFiles:
         with pytest.raises(ValueError):
             cb.load_graph_data(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n = 3\nprofile = rnt-perturbed\nm = 1\n", "missing required key 'q'"),
+            ("profile = rnt\nm = 1\nq = 0\n", "missing required key 'n'"),
+            ("n = 3\nprofile = table\n", "missing required key 'table'"),
+            ("n = 3\nm = 1\nq = 0.5\nmass = 2\n", "unknown key(s) in data file: mass"),
+        ],
+    )
+    def test_bad_keys_rejected(self, tmp_path, text, message):
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cb.load_graph_data(path)
+
+    def test_table_file_values_checked(self, tmp_path):
+        np.savetxt(tmp_path / "one.tsv", np.geomspace(1.0, 10.0, 8))
+        path = tmp_path / "d.txt"
+        path.write_text("n = 3\nprofile = table\ntable = one.tsv\n")
+        with pytest.raises(ValueError, match="two columns"):
+            cb.load_graph_data(path)
+        path.write_text("n = 3\nprofile = table\ntable = one.tsv\nhorizon = maybe\n")
+        with pytest.raises(ValueError, match="horizon must be"):
+            cb.load_graph_data(path)
+
     def test_reciprocal_metric_vanishes_at_horizon(self):
         data = cb.rnt_graph_data(3, 1.0, 0.5)
         assert reciprocal_metric(data, data.r_start * (1 + 1e-12)) < 1e-10
+
+
+class TestTableProfile:
+    @pytest.mark.parametrize("shape", ["decaying", "oscillating", "flat-spots"])
+    def test_pchip_matches_scipy(self, shape):
+        rng = np.random.default_rng(11)
+        r = np.unique(rng.uniform(0.5, 50.0, 40))
+        y = {
+            "decaying": np.sqrt(2.0 / r),
+            "oscillating": np.sin(r / 3.0) + rng.normal(0.0, 0.1, r.size),
+            "flat-spots": np.round(np.sin(r / 5.0), 1),
+        }[shape]
+        profile, oracle = _TableProfile(r, y), PchipInterpolator(r, y)
+        x = np.concatenate([np.linspace(r[0], r[-1], 2001), r])
+        scale = np.max(np.abs(y))
+        assert np.max(np.abs(profile(x) - oracle(x))) <= 1e-14 * scale

@@ -29,6 +29,15 @@ class TestReportLogic:
         c = make_report("penrose", 1.0, 0.5, 1e-10, "closed-form", {"m": 2.0})
         assert a.inputs_digest == b.inputs_digest != c.inputs_digest
 
+    def test_digest_ignores_numeric_type(self):
+        plain = cb.penrose_report(1.0, 10.0, 0.5, 3)
+        numpy_args = cb.penrose_report(
+            np.float64(1.0), np.float64(10.0), np.float64(0.5), np.int64(3)
+        )
+        assert [r.inputs_digest for r in plain] == [r.inputs_digest for r in numpy_args]
+        shifted = cb.penrose_report(np.nextafter(1.0, 2.0), 10.0, 0.5, 3)
+        assert shifted[0].inputs_digest != plain[0].inputs_digest
+
     def test_to_dict_schema(self, schema_validator):
         rep = make_report("gibbons", 2.0, 1.0, 1e-6, "quadrature", {"q": 1.0})
         schema_validator(rep.to_dict(), "inequality_report.schema.json")

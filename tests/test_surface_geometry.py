@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
 import chargedbh as cb
-from chargedbh.surface_geometry import DegenerateMetricError
+from chargedbh.surface_geometry import DegenerateMetricError, _gauss_jacobi
 
 
 def spheroid_exact_curvatures(theta, a, c):
@@ -40,6 +41,22 @@ class TestGrids:
     def test_nodes_exclude_poles(self):
         grid = cb.axisymmetric_grid(4, 64)
         assert grid.theta.min() > 0 and grid.theta.max() < math.pi
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("nodes", [16, 48, 64, 128])
+    def test_gauss_jacobi_matches_scipy(self, alpha, nodes):
+        # scipy's own weights carry up to ~5e-11 relative error at 128
+        # nodes (Golub-Welsch is ~3e-13 against 30-digit Legendre weights)
+        x, w = _gauss_jacobi(nodes, alpha)
+        xs, ws = roots_legendre(nodes) if alpha == 0.0 else roots_jacobi(nodes, alpha, alpha)
+        assert np.max(np.abs(x - xs)) <= 1e-15
+        assert np.max(np.abs(w / ws - 1.0)) <= 1e-10
+
+    def test_gauss_jacobi_cached_read_only(self):
+        x, w = _gauss_jacobi(24, 0.5)
+        assert _gauss_jacobi(24, 0.5)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
 
 
 class TestSphere:
