@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -295,7 +296,10 @@ def cmd_verify(config: RunConfig, args) -> int:
         print("energy condition violated: data rejected", file=sys.stderr)
         return EXIT_ENERGY
 
-    breakdown = gd.mass_via_formula(data)
+    with warnings.catch_warnings():
+        # the uncertainty goes into the JSON as mass.tail_uncertainty
+        warnings.simplefilter("ignore", gd.TruncationWarning)
+        breakdown = gd.mass_via_formula(data)
     document["mass"] = {
         "boundary_term": breakdown.boundary_term,
         "bulk_term": breakdown.bulk_term,
@@ -303,6 +307,7 @@ def cmd_verify(config: RunConfig, args) -> int:
         "dec_residual_min": breakdown.dec_residual_min,
         "tail_estimate": breakdown.tail_estimate,
         "r_max": breakdown.r_max,
+        "tail_uncertainty": breakdown.tail_uncertainty,
     }
     radii = [1e2 * base, 1e3 * base, 1e4 * base]
     document["adm_mass_limit"] = gd.adm_mass_limit(data, radii)
@@ -450,7 +455,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--sample-every", type=int, default=10)
     p.add_argument("--charge", type=float, default=0.0, help="charge of the radial comparison field")
-    p.add_argument("--safety-factor", type=float, default=1.0)
+    p.add_argument(
+        "--safety-factor", type=float, default=1.0,
+        help="multiplies the RK4 substep bound 2 min((H rho)^2) / lambda_max",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", dest="csv_path", default=None)
     p.add_argument("--json", dest="json_path", default=None)

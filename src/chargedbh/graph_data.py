@@ -167,8 +167,13 @@ def check_decay(data: RadialGraphData) -> float:
         r1, r2 = 1e3 * base, 8e3 * base
         w1 = float(np.asarray(data.dudr(r1), dtype=float)) ** 2
         w2 = float(np.asarray(data.dudr(r2), dtype=float)) ** 2
-        if w1 < 1e-280 and w2 < 1e-280:
+        if w2 < 1e-280:
             return math.inf
+        if w1 < 1e-280:
+            raise DecayError(
+                f"(du/dr)^2 vanishes at r = {r1:.6g} but not at r = {r2:.6g}; "
+                "decay exponent undefined"
+            )
         sigma = -(math.log(w2) - math.log(w1)) / (math.log(r2) - math.log(r1))
     if not sigma > 0.5 * (data.n - 2) + 1e-9:
         raise DecayError(
@@ -188,6 +193,7 @@ class MassBreakdown:
     dec_residual_min: float
     tail_estimate: float
     r_max: float
+    tail_uncertainty: float  # error estimate of tail_estimate
 
 
 _GL_X32, _GL_W32 = np.polynomial.legendre.leggauss(32)
@@ -267,6 +273,7 @@ def mass_via_formula(
         dec_residual_min=float(residual.min()),
         tail_estimate=tail,
         r_max=float(r_max),
+        tail_uncertainty=float(tail_unc),
     )
 
 

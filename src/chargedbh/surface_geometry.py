@@ -75,13 +75,6 @@ class SphereGrid:
     def num_nodes(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
-    def min_angular_spacing(self) -> float:
-        dth = float(np.min(np.diff(self.theta)))
-        if self.mode == "full":
-            return min(dth, 2.0 * math.pi / self.phi.size)
-        return dth
-
 
 @functools.lru_cache(maxsize=None)
 def _gauss_jacobi(nodes: int, alpha: float):

@@ -155,6 +155,32 @@ class TestVerify:
         assert not doc["energy_condition"]["ok"]
         assert len(doc["energy_condition"]["residual_profile"]) > 0
 
+    def test_table_reports_tail_uncertainty_without_raw_warning(self, tmp_path, schema_validator):
+        # a fresh interpreter with default warning filters, as from a shell
+        r = np.geomspace(1.0, 1e4, 200)
+        np.savetxt(tmp_path / "profile.tsv", np.column_stack([r, np.sqrt(2.0 / r)]))
+        data = self._write(tmp_path, "n = 3\nprofile = table\ntable = profile.tsv\n")
+        out = tmp_path / "v.json"
+        script = (
+            "import sys; from chargedbh.cli import main; "
+            f"sys.exit(main(['verify', '--data', {data!r}, '--resolution', '16', "
+            f"'--out', {str(out)!r}]))"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cb.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "TruncationWarning" not in proc.stderr
+        doc = json.loads(out.read_text())
+        schema_validator(doc, "verify_bundle.schema.json")
+        assert doc["mass"]["tail_uncertainty"] > 1e-6
+
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["verify", "--data", str(tmp_path / "absent.txt")]) == 2
 

@@ -12,6 +12,7 @@ import chargedbh as cb
 from chargedbh.graph_data import (
     _TableProfile,
     DecayError,
+    RadialGraphData,
     TruncationWarning,
     check_decay,
     reciprocal_metric,
@@ -249,7 +250,8 @@ class TestMass:
             horizon=False,
         )
         with pytest.warns(TruncationWarning):
-            cb.mass_via_formula(data, tolerance=1e-9)
+            breakdown = cb.mass_via_formula(data, tolerance=1e-9)
+        assert breakdown.tail_uncertainty > 1e-9
 
 
 class TestAdmFlux:
@@ -311,6 +313,28 @@ class TestDecayGate:
             cb.mass_via_formula(data)
         with pytest.raises(DecayError):
             cb.adm_mass_limit(data, [1e2, 1e3])
+
+
+    @staticmethod
+    def _step_profile(vanishes_inside: bool) -> RadialGraphData:
+        # du/dr = 1/r on one side of r = 3e3 and exactly 0 on the other, so
+        # one of the two decay probes (1e3 and 8e3) reads (du/dr)^2 = 0
+        def dudr(r):
+            r = np.asarray(r, dtype=float)
+            outer = r > 3e3
+            return np.where(outer if vanishes_inside else ~outer, 1.0 / r, 0.0)
+
+        return RadialGraphData(
+            n=3, r_start=0.0, dudr=dudr, e_radial=lambda r: 0.0 * np.asarray(r),
+            charge=0.0, horizon=False,
+        )
+
+    def test_profile_vanishing_outside_decays_arbitrarily_fast(self):
+        assert check_decay(self._step_profile(vanishes_inside=False)) == math.inf
+
+    def test_profile_vanishing_only_inside_rejected(self):
+        with pytest.raises(DecayError, match="r = 1000 but not at r = 8000"):
+            check_decay(self._step_profile(vanishes_inside=True))
 
 
 class TestChargeConsistency:

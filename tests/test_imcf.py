@@ -7,6 +7,7 @@ import pytest
 
 import chargedbh as cb
 from chargedbh import imcf
+from chargedbh import surface_geometry as sg
 from chargedbh.imcf import FlowBreakdownError
 
 
@@ -140,6 +141,47 @@ class TestStepGuard:
         assert len(run.states) >= 1
         assert run.breakdown.message
 
+    @pytest.mark.parametrize("scale", [1e-2, 1e2])
+    @pytest.mark.parametrize("mode", ["axisymmetric", "full"])
+    def test_guard_is_scale_free(self, mode, scale):
+        # IMCF commutes with dilations, and so does its stability bound
+        if mode == "axisymmetric":
+            surface = cb.make_spheroid(cb.axisymmetric_grid(4, 48), 1.0, 0.5)
+        else:
+            surface = cb.random_star_surface(cb.full_grid(16, 32), 3, amplitude=0.05)
+        grid, rho = surface.grid, surface.rho
+        h = cb.curvature(surface).H
+        base = imcf._guard_dt(grid, rho, h, 0.7)
+        assert imcf._guard_dt(grid, scale * rho, h / scale, 0.7) == pytest.approx(
+            base, rel=1e-14
+        )
+
+    def test_speed_calls_scale_free_and_four_per_substep(self, monkeypatch):
+        calls = []
+        per_step = []
+        speed, step = sg.mean_curvature_speed, imcf.imcf_step
+
+        def counted_speed(grid, rho):
+            calls.append(1)
+            return speed(grid, rho)
+
+        def counted_step(state, dt, safety_factor=1.0):
+            before = len(calls)
+            new_state = step(state, dt, safety_factor=safety_factor)
+            per_step.append(len(calls) - before)
+            return new_state
+
+        monkeypatch.setattr(sg, "mean_curvature_speed", counted_speed)
+        monkeypatch.setattr(imcf, "imcf_step", counted_step)
+        grid = cb.axisymmetric_grid(4, 32)
+        totals = []
+        for scale in (1.0, 100.0):
+            calls.clear()
+            imcf.run_flow(cb.make_spheroid(grid, scale, 0.5 * scale), 0.2, 0.02)
+            totals.append(len(calls))
+        assert totals[0] == totals[1] > 0
+        assert len(per_step) == 20 and all(c > 0 and c % 4 == 0 for c in per_step)
+
     def test_non_mean_convex_initial_rejected(self):
         grid = cb.axisymmetric_grid(3, 96)
         # deep dumbbell-like waist: H < 0 near the equator, still star-shaped
@@ -162,3 +204,22 @@ class TestResolutionRobustness:
             vals[nodes] = (final.area, final.total_mean_curvature, final.mass_decay)
         for a, b in zip(vals[48], vals[96]):
             assert abs(a - b) / max(abs(b), 1.0) < 1e-7
+
+
+class TestLinearisedDecayOracle:
+    @pytest.mark.parametrize(
+        "n, polar, gate",
+        [(3, 2.0, 0.01), (3, 0.5, 0.01), (4, 2.0, 0.05), (4, 0.5, 0.05)],
+    )
+    def test_l2_rate(self, n, polar, gate):
+        # rho = r(t)(1 + eps u) linearises to u_t = Delta_S u / (n-1)^2, so the
+        # slowest (l = 2) deviation from roundness decays like
+        # exp(-2n/(n-1)^2 t); the n = 4 oblate start is still the least linear
+        grid = cb.axisymmetric_grid(n, 48)
+        run = imcf.run_flow(cb.make_spheroid(grid, 1.0, polar), 5.0, 5e-3, sample_every=20)
+        assert run.completed
+        t = np.array([s.t for s in run.states])
+        roundness = np.array([s.monitors.roundness for s in run.states])
+        late = t >= 3.0 - 1e-9
+        rate = -np.polyfit(t[late], np.log(roundness[late]), 1)[0]
+        assert rate == pytest.approx(2.0 * n / (n - 1) ** 2, rel=gate)
