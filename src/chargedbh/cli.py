@@ -6,6 +6,10 @@ Exit codes are stable for scripting: 0 success, 2 input/parameter error,
 failure (residual profile still written).  CSV numbers carry 17 significant
 digits; JSON documents are emitted with sorted keys so identical
 configurations produce byte-identical outputs.
+
+Options and their defaults live in argparse alone; values are checked by the
+library calls that use them.  ``sweep`` computes its rows serially (``--jobs``
+is validated and otherwise ignored).
 """
 
 from __future__ import annotations
@@ -13,11 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,44 +35,6 @@ EXIT_ENERGY = 4
 
 MONOTONICITY_TOLERANCE = 1e-8
 ENERGY_TOLERANCE = 1e-9
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    command: str
-    n: int = 3
-    m: float = 1.0
-    q: float = 0.0
-    data_path: str | None = None
-    mode: str = "axisymmetric"
-    resolution: int = 128
-    t_end: float = 1.0
-    dt: float = 1e-3
-    sample_every: int = 10
-    charge: float = 0.0
-    safety_factor: float = 1.0
-    jobs: int = 1
-    seed: int = 0
-    csv_path: str | None = None
-    json_path: str | None = None
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("dimension must satisfy n >= 3")
-        if self.resolution < 8:
-            raise ValueError("resolution must be >= 8")
-        if self.t_end <= 0.0 or self.dt <= 0.0:
-            raise ValueError("t_end and dt must be positive")
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-
-
-def _default_resolution() -> int:
-    return int(os.environ.get("CPL_DEFAULT_RES", "128"))
 
 
 def _fmt(value) -> str:
@@ -103,20 +66,24 @@ def write_json(document: dict, path: str | None) -> None:
             handle.write(text)
 
 
-def write_csv(header: list[str], rows: list[list], path: str) -> None:
+def write_csv(header: list[str], rows: list[list], path: str | None) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as handle:
+            handle.write(text)
 
 
 # ---------------------------------------------------------------------------
 # rnt-report
 
 
-def cmd_rnt_report(config: RunConfig) -> int:
-    params = rnt.RntParams(config.n, config.m, config.q)
+def cmd_rnt_report(args: argparse.Namespace) -> int:
+    params = rnt.RntParams(args.n, args.m, args.q)
     r_minus, r_plus = rnt.horizon_radii(params)  # may raise -> exit 2 upstream
     area = rnt.horizon_area(params)
     sample_radii = [r_plus * f for f in (1.0, 1.25, 1.5, 2.0, 4.0, 8.0, 16.0)]
@@ -151,7 +118,7 @@ def cmd_rnt_report(config: RunConfig) -> int:
         "embedding_note": note,
         "certificates": certificates,
     }
-    write_json(document, config.json_path)
+    write_json(document, args.json_path)
     return EXIT_OK
 
 
@@ -159,34 +126,40 @@ def cmd_rnt_report(config: RunConfig) -> int:
 # imcf-run
 
 
-def _build_surface(config: RunConfig, args) -> sg.StarShapedSurface:
+def _check_resolution(resolution: int) -> None:
+    if resolution < 8:
+        raise ValueError("resolution must be >= 8")
+
+
+def _build_surface(args: argparse.Namespace) -> sg.StarShapedSurface:
     if args.surface:
+        _check_resolution(args.resolution)  # the file's grid is flowed, not this one
         surface, _ = sg.load_surface(args.surface)
-        if surface.grid.n != config.n:
+        if surface.grid.n != args.n:
             raise ValueError("surface file dimension does not match --n")
         return surface
-    grid = sg.make_grid(config.n, config.mode, config.resolution)
+    grid = sg.make_grid(args.n, args.mode, args.resolution)
     if args.shape == "sphere":
         return sg.make_sphere(grid, args.radius)
     if args.shape == "spheroid":
         return sg.make_spheroid(grid, args.a, args.c)
     if args.shape == "random-convex":
-        if config.mode != "axisymmetric":
+        if args.mode != "axisymmetric":
             raise ValueError("random-convex initial surfaces need the axisymmetric mode")
-        return sg.random_convex_surface(grid, config.seed)
+        return sg.random_convex_surface(grid, args.seed)
     raise ValueError(f"unknown shape {args.shape!r}")
 
 
-def cmd_imcf_run(config: RunConfig, args) -> int:
-    surface = _build_surface(config, args)
+def cmd_imcf_run(args: argparse.Namespace) -> int:
+    surface = _build_surface(args)
+    field = sg.radial_inverse_power_field(args.charge, args.n)
     run = imcf.run_flow(
         surface,
-        config.t_end,
-        config.dt,
-        sample_every=config.sample_every,
-        safety_factor=config.safety_factor,
+        args.t_end,
+        args.dt,
+        sample_every=args.sample_every,
+        safety_factor=args.safety_factor,
     )
-    field = sg.radial_inverse_power_field(config.charge, config.n)
     chain = imcf.flux_chain(run.states, field)
 
     header = ["t", "area", "intH", "roundness", "M", "I0", "I1", "I2"]
@@ -205,8 +178,8 @@ def cmd_imcf_run(config: RunConfig, args) -> int:
                 sample.i2,
             ]
         )
-    if config.csv_path:
-        write_csv(header, rows, config.csv_path)
+    if args.csv_path:
+        write_csv(header, rows, args.csv_path)
 
     decay = [s.monitors.mass_decay for s in run.states]
     increases = [b - a for a, b in zip(decay[:-1], decay[1:])]
@@ -217,12 +190,12 @@ def cmd_imcf_run(config: RunConfig, args) -> int:
     )
     final = run.states[-1]
     summary = {
-        "n": config.n,
+        "n": args.n,
         "grid_mode": surface.grid.mode,
-        "resolution": config.resolution,
-        "t_end": config.t_end,
-        "dt": config.dt,
-        "sample_every": config.sample_every,
+        "resolution": args.resolution,
+        "t_end": args.t_end,
+        "dt": args.dt,
+        "sample_every": args.sample_every,
         "n_samples": len(run.states),
         "completed": run.completed,
         "breakdown": None
@@ -248,7 +221,7 @@ def cmd_imcf_run(config: RunConfig, args) -> int:
             "mass_decay": final.monitors.mass_decay,
         },
     }
-    write_json(summary, config.json_path)
+    write_json(summary, args.json_path)
     return EXIT_OK if run.completed else EXIT_BREAKDOWN
 
 
@@ -256,8 +229,11 @@ def cmd_imcf_run(config: RunConfig, args) -> int:
 # verify
 
 
-def cmd_verify(config: RunConfig, args) -> int:
-    data = gd.load_graph_data(config.data_path)
+def cmd_verify(args: argparse.Namespace) -> int:
+    # checked up front: data without a horizon builds no grid, and the exit
+    # code must not depend on whether the energy check fails first
+    _check_resolution(args.resolution)
+    data = gd.load_graph_data(args.data)
     n = data.n
     base = max(data.r_start, 1.0)
     lo = data.r_start * (1.0 + 1e-6) if data.r_start > 0 else 1e-3 * base
@@ -292,7 +268,7 @@ def cmd_verify(config: RunConfig, args) -> int:
         document["adm_mass_limit"] = None
         document["certificates"] = []
         document["not_applicable"] = []
-        write_json(document, config.json_path)
+        write_json(document, args.json_path)
         print("energy condition violated: data rejected", file=sys.stderr)
         return EXIT_ENERGY
 
@@ -320,7 +296,7 @@ def cmd_verify(config: RunConfig, args) -> int:
             ineq.penrose_report(breakdown.total, area, data.charge, n, tolerance=1e-6,
                                 provenance="quadrature")
         )
-        grid = sg.make_grid(n, "axisymmetric", config.resolution)
+        grid = sg.make_grid(n, "axisymmetric", args.resolution)
         horizon = sg.make_sphere(grid, data.r_start)
         field = sg.radial_inverse_power_field(data.charge, n)
         reports, skipped = ineq.theorem_certificates(
@@ -341,7 +317,7 @@ def cmd_verify(config: RunConfig, args) -> int:
         )
     document["certificates"] = [rep.to_dict() for rep in certificates]
     document["not_applicable"] = not_applicable
-    write_json(document, config.json_path)
+    write_json(document, args.json_path)
     return EXIT_OK
 
 
@@ -398,7 +374,9 @@ def _sweep_row(point) -> list:
     ]
 
 
-def cmd_sweep(config: RunConfig, args) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:  # otherwise ignored: rows are computed serially
+        raise ValueError("jobs must be >= 1")
     n_values = [int(v) for v in args.n_list.split(",") if v.strip()]
     m_values = [float(v) for v in args.m_list.split(",") if v.strip()]
     q_values = [float(v) for v in args.q_list.split(",") if v.strip()]
@@ -410,17 +388,8 @@ def cmd_sweep(config: RunConfig, args) -> int:
         for m in m_values
         for q in q_values
     ]
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_sweep_row, points))
-    else:
-        rows = [_sweep_row(p) for p in points]
-    if config.csv_path:
-        write_csv(_SWEEP_HEADER, rows, config.csv_path)
-    else:
-        sys.stdout.write(",".join(_SWEEP_HEADER) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
+    rows = [_sweep_row(p) for p in points]
+    write_csv(_SWEEP_HEADER, rows, args.csv_path)
     return EXIT_OK
 
 
@@ -437,79 +406,63 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rnt-report", help="closed-form report for one (n, m, q)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
+    p.set_defaults(func=cmd_rnt_report)
+    p.add_argument("--n", type=int, required=True, help="spatial dimension (>= 3)")
+    p.add_argument("--m", type=float, required=True, help="mass")
+    p.add_argument("--q", type=float, required=True, help="charge, |q| <= m")
     p.add_argument("--out", dest="json_path", default=None, help="JSON output path (default stdout)")
 
     p = sub.add_parser("imcf-run", help="inverse mean curvature flow run")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--mode", choices=["axisymmetric", "full"], default="axisymmetric")
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--shape", choices=["sphere", "spheroid", "random-convex"], default="sphere")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=1.0, help="spheroid equatorial radius")
-    p.add_argument("--c", type=float, default=2.0, help="spheroid polar radius")
-    p.add_argument("--surface", default=None, help="initial surface table file")
-    p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--sample-every", type=int, default=10)
-    p.add_argument("--charge", type=float, default=0.0, help="charge of the radial comparison field")
-    p.add_argument(
-        "--safety-factor", type=float, default=1.0,
-        help="multiplies the RK4 substep bound 2 min((H rho)^2) / lambda_max",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv", dest="csv_path", default=None)
-    p.add_argument("--json", dest="json_path", default=None)
+    p.set_defaults(func=cmd_imcf_run)
+    p.add_argument("--n", type=int, default=3, help="ambient dimension (default %(default)s)")
+    p.add_argument("--mode", choices=["axisymmetric", "full"], default="axisymmetric",
+                   help="grid; full needs n = 3 (default %(default)s)")
+    p.add_argument("--resolution", type=int, default=128,
+                   help="axisymmetric nodes or full-grid latitudes (default %(default)s)")
+    p.add_argument("--shape", choices=["sphere", "spheroid", "random-convex"], default="sphere",
+                   help="initial surface (default %(default)s)")
+    p.add_argument("--radius", type=float, default=1.0, help="sphere radius (default %(default)s)")
+    p.add_argument("--a", type=float, default=1.0,
+                   help="spheroid equatorial radius (default %(default)s)")
+    p.add_argument("--c", type=float, default=2.0, help="spheroid polar radius (default %(default)s)")
+    p.add_argument("--surface", default=None,
+                   help="initial surface table file (replaces --mode and --shape)")
+    p.add_argument("--t-end", type=float, default=1.0, help="final flow time (default %(default)s)")
+    p.add_argument("--dt", type=float, default=1e-3, help="flow time step (default %(default)s)")
+    p.add_argument("--sample-every", type=int, default=10,
+                   help="keep every k-th step and the last (default %(default)s)")
+    p.add_argument("--charge", type=float, default=0.0,
+                   help="charge of the radial comparison field (default %(default)s)")
+    p.add_argument("--safety-factor", type=float, default=1.0,
+                   help="multiplies the RK4 substep bound 2 min((H rho)^2) / lambda_max "
+                   "(default %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="random-convex seed (default %(default)s)")
+    p.add_argument("--csv", dest="csv_path", default=None, help="per-sample CSV path (default none)")
+    p.add_argument("--json", dest="json_path", default=None, help="JSON summary path (default stdout)")
 
     p = sub.add_parser("verify", help="verify a graph data definition file")
-    p.add_argument("--data", required=True)
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--out", dest="json_path", default=None)
+    p.set_defaults(func=cmd_verify)
+    p.add_argument("--data", required=True, help="data definition file of key = value lines")
+    p.add_argument("--resolution", type=int, default=128,
+                   help="axisymmetric nodes of the horizon sphere (default %(default)s)")
+    p.add_argument("--out", dest="json_path", default=None, help="JSON output path (default stdout)")
 
     p = sub.add_parser("sweep", help="closed-form certificate sweep over a parameter grid")
+    p.set_defaults(func=cmd_sweep)
     p.add_argument("--n-list", required=True, help="comma separated dimensions")
     p.add_argument("--m-list", required=True, help="comma separated masses")
     p.add_argument("--q-list", required=True, help="comma separated charges")
     p.add_argument("--q-rel", action="store_true", help="interpret charges as fractions of m")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--csv", dest="csv_path", default=None)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="must be >= 1; rows are computed serially (default %(default)s)")
+    p.add_argument("--csv", dest="csv_path", default=None, help="CSV output path (default stdout)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        resolution = getattr(args, "resolution", None) or _default_resolution()
-        config = RunConfig(
-            command=args.command,
-            n=getattr(args, "n", 3),
-            m=getattr(args, "m", 1.0),
-            q=getattr(args, "q", 0.0),
-            data_path=getattr(args, "data", None),
-            mode=getattr(args, "mode", "axisymmetric"),
-            resolution=resolution,
-            t_end=getattr(args, "t_end", 1.0),
-            dt=getattr(args, "dt", 1e-3),
-            sample_every=getattr(args, "sample_every", 10),
-            charge=getattr(args, "charge", 0.0),
-            safety_factor=getattr(args, "safety_factor", 1.0),
-            jobs=getattr(args, "jobs", 1),
-            seed=getattr(args, "seed", 0),
-            csv_path=getattr(args, "csv_path", None),
-            json_path=getattr(args, "json_path", None),
-        )
-        if config.command == "rnt-report":
-            return cmd_rnt_report(config)
-        if config.command == "imcf-run":
-            return cmd_imcf_run(config, args)
-        if config.command == "verify":
-            return cmd_verify(config, args)
-        if config.command == "sweep":
-            return cmd_sweep(config, args)
-        raise ValueError(f"unknown command {config.command!r}")
+        return args.func(args)
     except (ValueError, OSError, gd.DecayError, gd.ExtrapolationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

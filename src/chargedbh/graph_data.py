@@ -401,6 +401,8 @@ def perturbed_rnt_graph_data(
     The bump eps * exp(-((r - r+)/width)) keeps the profile monotone for
     eps >= 0 and decays fast enough to leave the asymptotics untouched.
     """
+    if not width > 0.0:
+        raise ValueError(f"width must be positive, got {width!r}")
     params = RntParams(n, m, q)
     _, r_plus = horizon_radii(params)
     if m <= abs(q):
@@ -565,8 +567,8 @@ def load_graph_data(path) -> RadialGraphData:
     Recognized keys: n, profile (rnt | rnt-perturbed | flat | table), m, q,
     charge_scale, eps, width, field (rnt | none), table (path to a two-column
     r/dudr file, relative to the definition file), charge, horizon
-    (true | false).  Unknown keys, unknown values and missing required keys
-    raise ValueError.
+    (true | false).  Unknown keys, unknown values, missing required keys and
+    numbers that are not finite raise ValueError.
     """
     import os
 
@@ -590,24 +592,30 @@ def load_graph_data(path) -> RadialGraphData:
             raise ValueError(f"data file missing required key {key!r}")
         return entries[key]
 
+    def number(key, default=None):
+        value = float(required(key) if default is None else entries.get(key, default))
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
+        return value
+
     n = int(required("n"))
     profile = entries.get("profile", "rnt")
     field = entries.get("field", "rnt")
     if field not in ("rnt", "none"):
         raise ValueError(f"field must be 'rnt' or 'none', got {field!r}")
-    charge_scale = float(entries.get("charge_scale", "1.0"))
+    charge_scale = number("charge_scale", "1.0")
     if field == "none":
         charge_scale = 0.0
 
     if profile == "rnt":
-        return rnt_graph_data(n, float(required("m")), float(required("q")), charge_scale)
+        return rnt_graph_data(n, number("m"), number("q"), charge_scale)
     if profile == "rnt-perturbed":
         return perturbed_rnt_graph_data(
             n,
-            float(required("m")),
-            float(required("q")),
-            float(entries.get("eps", "0.0")),
-            float(entries.get("width", "1.0")),
+            number("m"),
+            number("q"),
+            number("eps", "0.0"),
+            number("width", "1.0"),
             charge_scale,
         )
     if profile == "flat":
@@ -622,11 +630,13 @@ def load_graph_data(path) -> RadialGraphData:
         rows = np.loadtxt(table_path, ndmin=2)
         if rows.shape[1] != 2:
             raise ValueError("profile table needs two columns (r, du/dr)")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("profile table entries must be finite")
         return table_graph_data(
             n,
             rows[:, 0],
             rows[:, 1],
-            charge=float(entries.get("charge", "0.0")) * charge_scale,
+            charge=number("charge", "0.0") * charge_scale,
             horizon=_HORIZON_VALUES[horizon],
         )
     raise ValueError(f"unknown profile kind {profile!r}")

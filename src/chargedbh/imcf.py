@@ -87,6 +87,11 @@ class FlowRun:
         return self.breakdown is None
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _decay_rate(n: int) -> float:
     return (n - 2) / (n - 1)
 
@@ -152,10 +157,11 @@ def imcf_step(state: FlowState, dt: float, safety_factor: float = 1.0) -> FlowSt
     The guard is the parabolic stability bound of :func:`_guard_dt` times
     ``safety_factor``, evaluated from the state's own H; a requested dt
     above it is split into equal substeps, four speed evaluations each.
-    Raises :class:`FlowBreakdownError` if H loses positivity at any stage.
+    Raises :class:`FlowBreakdownError` if H loses positivity at any stage,
+    and ValueError unless dt and safety_factor are finite and positive.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    _require_positive("dt", dt)
+    _require_positive("safety_factor", safety_factor)
     grid = state.surface.grid
     rho = state.surface.rho
     guard = _guard_dt(grid, rho, state.curvature.H, safety_factor)
@@ -192,10 +198,13 @@ def run_flow(
 
     The initial surface must be strictly mean convex.  On breakdown the run
     returns the partial trajectory together with the breakdown time instead
-    of raising.
+    of raising.  t_end and dt must be finite and positive (safety_factor is
+    checked by :func:`imcf_step`).
     """
-    if t_end <= 0.0 or dt <= 0.0:
-        raise ValueError("t_end and dt must be positive")
+    _require_positive("t_end", t_end)
+    _require_positive("dt", dt)
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"step count t_end / dt overflows ({t_end!r} / {dt!r})")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     state = _make_state(0.0, initial)

@@ -185,15 +185,14 @@ def full_grid(n_lat: int = 128, n_lon: int = 256) -> SphereGrid:
     )
 
 
-def make_grid(n: int, mode: str = "axisymmetric", resolution: int | None = None) -> SphereGrid:
+def make_grid(n: int, mode: str = "axisymmetric", resolution: int = 128) -> SphereGrid:
     """Factory used by the CLI: resolution means nodes (axisymmetric) or latitudes."""
     if mode == "axisymmetric":
-        return axisymmetric_grid(n, resolution or 128)
+        return axisymmetric_grid(n, resolution)
     if mode == "full":
         if n != 3:
             raise ValueError("full grids are implemented for n = 3 only")
-        nlat = resolution or 128
-        return full_grid(nlat, 2 * nlat)
+        return full_grid(resolution, 2 * resolution)
     raise ValueError(f"unknown grid mode {mode!r}")
 
 
@@ -570,6 +569,8 @@ def radial_inverse_power_field(charge: float, n: int):
     flux through any closed hypersurface enclosing the origin equals the
     charge.  Works on meridian (R, Z) or ambient coordinates alike.
     """
+    if not math.isfinite(charge):
+        raise ValueError(f"charge must be finite, got {charge!r}")
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -625,7 +626,11 @@ def save_surface(surface: StarShapedSurface, path, field: np.ndarray | None = No
 
 
 def load_surface(path) -> tuple[StarShapedSurface, np.ndarray | None]:
-    """Read a surface table written by :func:`save_surface`."""
+    """Read a surface table written by :func:`save_surface`.
+
+    Raises ValueError for a missing header key, an unknown grid mode, too
+    few columns, or rows that do not match the declared grid's nodes.
+    """
     meta = {}
     rows = []
     with open(path) as handle:
@@ -640,24 +645,37 @@ def load_surface(path) -> tuple[StarShapedSurface, np.ndarray | None]:
                     meta[key.strip()] = value.strip()
                 continue
             rows.append([float(tok) for tok in line.split()])
-    if "mode" not in meta or "n" not in meta:
-        raise ValueError("missing surface table header")
-    data = np.asarray(rows, dtype=float)
-    n = int(meta["n"])
-    if meta["mode"] == "axisymmetric":
-        nodes = int(meta["nodes"])
-        grid = axisymmetric_grid(n, nodes)
-        if data.shape[0] != nodes:
-            raise ValueError("row count does not match declared resolution")
-        if np.max(np.abs(data[:, 0] - grid.theta)) > 1e-9:
-            raise ValueError("node angles do not match the declared grid")
-        rho = data[:, 1]
-        field = data[:, 2:4] if data.shape[1] >= 4 else None
+
+    def header(key):
+        if key not in meta:
+            raise ValueError(f"surface table header misses {key!r}")
+        return meta[key]
+
+    n, mode = int(header("n")), header("mode")
+    if mode == "axisymmetric":
+        shape, n_angles, n_field = (int(header("nodes")),), 1, 2
+    elif mode == "full":
+        if n != 3:
+            raise ValueError("full grids are implemented for n = 3 only")
+        shape, n_angles, n_field = (int(header("nlat")), int(header("nlon"))), 2, 3
     else:
-        nlat, nlon = int(meta["nlat"]), int(meta["nlon"])
-        grid = full_grid(nlat, nlon)
-        if data.shape[0] != nlat * nlon:
-            raise ValueError("row count does not match declared resolution")
-        rho = data[:, 2].reshape(nlat, nlon)
-        field = data[:, 3:6].reshape(nlat, nlon, 3) if data.shape[1] >= 6 else None
+        raise ValueError(f"unknown grid mode {mode!r}")
+    # rows are counted before the grid is built, so a wrong header cannot
+    # demand a large grid
+    data = np.asarray(rows, dtype=float)
+    if data.ndim != 2 or data.shape[0] != math.prod(shape):
+        raise ValueError("row count does not match declared resolution")
+    if data.shape[1] <= n_angles:
+        raise ValueError(f"{mode} surface rows need {n_angles + 1} columns (angles, rho)")
+    if mode == "axisymmetric":
+        grid = axisymmetric_grid(n, *shape)
+        angles = grid.theta[:, None]
+    else:
+        grid = full_grid(*shape)
+        angles = np.stack(np.meshgrid(grid.theta, grid.phi, indexing="ij"), axis=-1)
+    if not np.all(np.abs(data[:, :n_angles] - angles.reshape(-1, n_angles)) <= 1e-9):
+        raise ValueError("node angles do not match the declared grid")
+    rho = data[:, n_angles].reshape(shape)
+    cols = slice(n_angles + 1, n_angles + 1 + n_field)
+    field = data[:, cols].reshape(shape + (n_field,)) if data.shape[1] >= cols.stop else None
     return StarShapedSurface(grid, rho, label="loaded"), field

@@ -1,16 +1,19 @@
 """Command-line interface: exit codes, outputs, determinism, schemas."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
 
 import chargedbh as cb
-from chargedbh.cli import main
+from chargedbh.cli import _build_parser, main
 
 
 def run(args):
@@ -309,3 +312,113 @@ class TestDeterminism:
         row = csv.read_text().splitlines()[1].split(",")
         # r_minus = 1 - sqrt(0.75) carries full double precision
         assert row[4] == f"{1 - 0.75**0.5:.17g}"
+
+
+def _surface_text(tmp_path, mode):
+    grid = cb.axisymmetric_grid(3, 8) if mode == "axisymmetric" else cb.full_grid(8, 16)
+    path = tmp_path / "good_surface.txt"
+    cb.save_surface(cb.make_sphere(grid, 1.0), path)
+    return path.read_text()
+
+
+def _drop_line(prefix):
+    return lambda text: "".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith(prefix)
+    )
+
+
+def _keep_columns(k):
+    return lambda text: "".join(
+        line if line.startswith("#") else " ".join(line.split()[:k]) + "\n"
+        for line in text.splitlines(keepends=True)
+    )
+
+
+def _full_rows_at(theta, phi):
+    return lambda text: "".join(
+        line if line.startswith("#") else f"{theta} {phi} 1.0\n"
+        for line in text.splitlines(keepends=True)
+    )
+
+
+_FLOW = ["imcf-run", "--n", "3", "--resolution", "16", "--t-end", "0.02", "--dt", "0.01",
+         "--json", "out.json", "--csv", "out.csv"]
+_VERIFY = ["verify", "--data", "data.txt", "--out", "out.json"]
+_SURFACE_FLOW = ["imcf-run", "--n", "3", "--surface", "surface.txt", "--t-end", "0.02",
+                 "--dt", "0.01", "--json", "out.json", "--csv", "out.csv"]
+_RNT = "n = 3\nprofile = rnt\nm = 1\nq = 0.5\n"
+_PERTURBED = "n = 3\nprofile = rnt-perturbed\nm = 1\nq = 0.5\n"
+_TABLE = "n = 3\nprofile = table\ntable = profile.tsv\n"
+
+# (argv, data file text, surface table (mode, edit), fragment of the message)
+_REJECTED = {
+    "dt-inf": (_FLOW + ["--dt", "inf"], None, None, "dt must be finite"),
+    "t-end-inf": (_FLOW + ["--t-end", "inf"], None, None, "t_end must be finite"),
+    "dt-nan": (_FLOW + ["--dt", "nan"], None, None, "dt must be finite"),
+    "dt-underflow": (_FLOW + ["--dt", "1e-320"], None, None, "t_end / dt"),
+    "safety-factor-0": (_FLOW + ["--safety-factor", "0"], None, None, "safety_factor"),
+    "safety-factor-negative": (_FLOW + ["--safety-factor", "-1"], None, None, "safety_factor"),
+    "safety-factor-nan": (_FLOW + ["--safety-factor", "nan"], None, None, "safety_factor"),
+    "charge-nan": (_FLOW + ["--charge", "nan"], None, None, "charge must be finite"),
+    "sample-every-0": (_FLOW + ["--sample-every", "0"], None, None, "sample_every"),
+    "flow-resolution-4": (_FLOW + ["--resolution", "4"], None, None, "at least 8"),
+    "flow-resolution-0": (_FLOW + ["--resolution", "0"], None, None, "at least 8"),
+    "verify-resolution-4": (_VERIFY + ["--resolution", "4"], "n = 3\nprofile = flat\n", None,
+                            "resolution must be >= 8"),
+    "sweep-jobs-0": (["sweep", "--n-list", "3", "--m-list", "1", "--q-list", "0", "--jobs", "0",
+                      "--csv", "out.csv"], None, None, "jobs must be >= 1"),
+    "table-charge-nan": (_VERIFY, _TABLE + "charge = nan\n", None, "charge must be finite"),
+    "charge-scale-nan": (_VERIFY, _RNT + "charge_scale = nan\n", None, "charge_scale"),
+    "eps-nan": (_VERIFY, _PERTURBED + "eps = nan\n", None, "eps must be finite"),
+    "width-0": (_VERIFY, _PERTURBED + "width = 0\n", None, "width must be positive"),
+    "full-without-nlat": (_SURFACE_FLOW, None, ("full", _drop_line("# nlat")), "'nlat'"),
+    "full-without-nlon": (_SURFACE_FLOW, None, ("full", _drop_line("# nlon")), "'nlon'"),
+    "axisymmetric-without-nodes": (_SURFACE_FLOW, None, ("axisymmetric", _drop_line("# nodes")),
+                                   "'nodes'"),
+    "full-two-columns": (_SURFACE_FLOW, None, ("full", _keep_columns(2)), "columns"),
+    "axisymmetric-one-column": (_SURFACE_FLOW, None, ("axisymmetric", _keep_columns(1)),
+                                "columns"),
+    "full-wrong-angles": (_SURFACE_FLOW, None, ("full", _full_rows_at(9, 9)), "node angles"),
+    "surface-resolution-4": (_SURFACE_FLOW + ["--resolution", "4"], None,
+                             ("axisymmetric", lambda text: text), "resolution must be >= 8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_rejected_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, case):
+    argv, data_text, surface, fragment = _REJECTED[case]
+    monkeypatch.chdir(tmp_path)
+    r = np.geomspace(1.0, 1e4, 50)
+    np.savetxt("profile.tsv", np.column_stack([r, np.sqrt(2.0 / r)]))
+    if data_text is not None:
+        (tmp_path / "data.txt").write_text(data_text)
+    if surface is not None:
+        mode, edit = surface
+        (tmp_path / "surface.txt").write_text(edit(_surface_text(tmp_path, mode)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would reach stderr
+        assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and fragment in err, err
+    assert "Traceback" not in err
+    written = [p.read_text() for p in tmp_path.glob("out.*")] + [out]
+    assert not any(re.search(r"\b(nan|NaN|inf|Infinity)\b", text) for text in written)
+
+
+def test_default_resolution_ignores_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("CPL_DEFAULT_RES", "16")
+    out = tmp_path / "f.json"
+    assert run(["imcf-run", "--t-end", "0.01", "--dt", "0.01", "--json", str(out)]) == 0
+    assert '"resolution": 128' in out.read_text()
+
+
+def test_every_option_has_help():
+    parser = _build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = [
+        f"{name} {action.option_strings[-1]}"
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.option_strings and not action.help
+    ]
+    assert missing == []
