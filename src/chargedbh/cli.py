@@ -192,7 +192,7 @@ def cmd_imcf_run(args: argparse.Namespace) -> int:
     summary = {
         "n": args.n,
         "grid_mode": surface.grid.mode,
-        "resolution": args.resolution,
+        "resolution": surface.grid.theta.size,  # nodes or latitudes, also for --surface
         "t_end": args.t_end,
         "dt": args.dt,
         "sample_every": args.sample_every,
@@ -348,9 +348,9 @@ def _sweep_row(point) -> list:
     try:
         params = rnt.RntParams(n, m, q)
         r_minus, r_plus = rnt.horizon_radii(params)
+        area = rnt.horizon_area(params)
     except (ValueError, rnt.NakedSingularityError) as err:
         return [n, m, q, "", "", "", "", "", "", "", "", "", "", str(err)]
-    area = rnt.horizon_area(params)
     reports = {rep.name: rep for rep in ineq.penrose_report(m, area, q, n)}
     if params.extremal:
         u_sample = "n/a"

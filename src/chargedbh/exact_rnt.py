@@ -32,7 +32,10 @@ def unit_sphere_area(n: int) -> float:
     """Area of the unit sphere S^(n-1) in R^n (n=3 gives 4*pi, n=4 gives 2*pi^2)."""
     if n < 2:
         raise ValueError("ambient dimension must satisfy n >= 2")
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    try:
+        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    except OverflowError:
+        raise ValueError(f"unit sphere area overflows in dimension n = {n}") from None
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +110,7 @@ def horizon_radii(params: RntParams) -> tuple[float, float]:
 
     These are the zeros of the squared lapse, r_pm = (m +- sqrt(m^2 - q^2))^(1/(n-2)).
     Raises :class:`NakedSingularityError` when m < |q|; for m = |q| the two
-    radii coincide (extremal case).
+    radii coincide (extremal case), and ValueError when r+ overflows.
     """
     m, q, n = params.m, params.q, params.n
     if m < abs(q):
@@ -116,23 +119,35 @@ def horizon_radii(params: RntParams) -> tuple[float, float]:
         )
     s = math.sqrt(max(m * m - q * q, 0.0))
     expo = 1.0 / (n - 2)
-    return (max(m - s, 0.0) ** expo, (m + s) ** expo)
+    r_plus = (m + s) ** expo
+    if not math.isfinite(r_plus):
+        raise ValueError(f"outer horizon radius overflows for m = {m!r}")
+    return (max(m - s, 0.0) ** expo, r_plus)
 
 
 def horizon_area(params: RntParams) -> float:
-    """Area omega_{n-1} r_+^(n-1) of the outer horizon sphere."""
+    """Area omega_{n-1} r_+^(n-1) of the outer horizon sphere (ValueError on overflow)."""
     _, r_plus = horizon_radii(params)
-    return unit_sphere_area(params.n) * r_plus ** (params.n - 1)
+    try:
+        return unit_sphere_area(params.n) * r_plus ** (params.n - 1)
+    except OverflowError:
+        raise ValueError(f"horizon area overflows for m = {params.m!r}") from None
 
 
 def horizon_radius_power(params: RntParams) -> float:
-    """R = r_+^(n-2) = m + sqrt(m^2 - q^2), the quantity entering the mass identity."""
+    """R = r_+^(n-2) = m + sqrt(m^2 - q^2), the quantity entering the mass identity.
+
+    Raises ValueError when R overflows.
+    """
     m, q = params.m, params.q
     if m < abs(q):
         raise NakedSingularityError(
             f"naked singularity regime: m = {m} < |q| = {abs(q)}"
         )
-    return m + math.sqrt(max(m * m - q * q, 0.0))
+    big_r = m + math.sqrt(max(m * m - q * q, 0.0))
+    if not math.isfinite(big_r):
+        raise ValueError(f"horizon radius power overflows for m = {m!r}")
+    return big_r
 
 
 def mass_from_horizon(area: float, q: float, n: int) -> float:
@@ -216,26 +231,22 @@ def embed_profile(params: RntParams, r_values) -> np.ndarray:
     s_edges = np.concatenate([[0.0], np.sqrt(np.clip(r - r_plus, 0.0, None))])
     scale = math.sqrt(r_plus)
 
-    u = np.empty_like(r)
-    total = 0.0
-    for k in range(r.size):
-        a, b = s_edges[k], s_edges[k + 1]
-        if b > a:
-            total += _embed_panel_integral(params, r_plus, a, b, scale)
-        u[k] = total
-    return u
-
-
-def _embed_panel_integral(params, r_plus, a, b, scale):
     # Panel widths grow with s so both the horizon region and the power-law
-    # tail are resolved by the fixed-order rule.
-    acc = 0.0
-    lo = a
-    while lo < b:
-        hi = min(b, lo + 0.5 * (lo + scale))
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        s = mid + half * _GL_X
-        integrand = 2.0 * s * embedding_slope(params, r_plus + s * s)
-        acc += half * float(np.dot(_GL_W, integrand))
-        lo = hi
-    return acc
+    # tail are resolved by the fixed-order rule.  All panels are laid out
+    # first and the slope is evaluated once on all their nodes.
+    owner, mids, halves = [], [], []
+    for k in range(r.size):
+        lo, b = s_edges[k], s_edges[k + 1]
+        while lo < b:
+            hi = min(b, lo + 0.5 * (lo + scale))
+            owner.append(k)
+            mids.append(0.5 * (hi + lo))
+            halves.append(0.5 * (hi - lo))
+            lo = hi
+    s = np.array(mids)[:, None] + np.array(halves)[:, None] * _GL_X
+    integrand = 2.0 * s * embedding_slope(params, r_plus + s * s)
+
+    acc = [0.0] * r.size  # integral over [r[k-1], r[k]], panel by panel
+    for k, half, row in zip(owner, halves, integrand):
+        acc[k] += half * float(np.dot(_GL_W, row))
+    return np.cumsum(acc)

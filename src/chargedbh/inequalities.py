@@ -10,11 +10,12 @@ as failures.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exact_rnt import area_radius_power, mass_coefficient, unit_sphere_area
 
@@ -54,6 +55,14 @@ def _digest(payload: dict) -> str:
 
 @dataclass(frozen=True)
 class InequalityReport:
+    """One certificate.
+
+    ``inputs_digest`` (12 hex digits of SHA-256 over the canonical inputs
+    and the name) is computed on first read from ``_inputs``, the snapshot
+    :func:`make_report` takes, so reports whose digest is never read cost no
+    hashing.
+    """
+
     name: str
     lhs: float
     rhs: float
@@ -62,7 +71,11 @@ class InequalityReport:
     verdict: str  # "pass" | "fail"
     saturated: bool
     tolerance_provenance: str
-    inputs_digest: str
+    _inputs: dict = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def inputs_digest(self) -> str:
+        return _digest(self._inputs)
 
     def to_dict(self) -> dict:
         return {
@@ -91,7 +104,7 @@ def make_report(name, lhs, rhs, tolerance, provenance, inputs) -> InequalityRepo
         verdict="pass" if slack >= -tolerance else "fail",
         saturated=bool(abs(slack) < tolerance),
         tolerance_provenance=provenance,
-        inputs_digest=_digest(dict(inputs, name=name)),
+        _inputs=dict(inputs, name=name),
     )
 
 

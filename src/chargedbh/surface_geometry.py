@@ -20,6 +20,11 @@ sphere of radius r has H = (n-1)/r > 0.  K denotes the extrinsic scalar
 curvature (sum of pairwise products of principal curvatures), so
 2K = H^2 - |A|^2, and the intrinsic scalar curvature of a hypersurface of
 flat space is R_k = 2K.
+
+Computed once: every array of a grid, of a surface's rho and of its
+curvature is read-only.  The grid factories are cached, so equal arguments
+return the same grid, which also keeps the unit sphere's Yamabe quotient;
+:func:`curvature` evaluates a surface once and stores the result on it.
 """
 
 from __future__ import annotations
@@ -43,12 +48,18 @@ class DegenerateMetricError(ValueError):
 # grids
 
 
+def _freeze(*arrays) -> None:
+    for arr in arrays:
+        if arr is not None:
+            arr.flags.writeable = False
+
+
 @dataclass(eq=False)
 class SphereGrid:
     """Quadrature and differentiation data for S^(n-1).
 
-    Instances are immutable by convention; all fields are set once by the
-    factory functions below.
+    Built by the factory functions below, which cache their grids: equal
+    arguments return the same instance, and every array is read-only.
     """
 
     n: int
@@ -63,6 +74,12 @@ class SphereGrid:
     _theta_ext: np.ndarray | None = field(default=None, repr=False)
     _w1: np.ndarray | None = field(default=None, repr=False)
     _w2: np.ndarray | None = field(default=None, repr=False)
+    # Yamabe quotient of the unit sphere on this grid, set by yamabe_quotients
+    _unit_yamabe: float | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        _freeze(self.theta, self.x, self.weights, self.phi,
+                self._d1, self._d2, self._theta_ext, self._w1, self._w2)
 
     @property
     def shape(self):
@@ -116,6 +133,9 @@ def _diff_matrix(x: np.ndarray) -> np.ndarray:
     return dm
 
 
+# A run uses a handful of grids; the bound keeps a resolution study from
+# holding every grid it built (an N-node grid keeps two N x N matrices).
+@functools.lru_cache(maxsize=8)
 def axisymmetric_grid(n: int, nodes: int = 128) -> SphereGrid:
     """Gauss grid in x = cos(theta) for axisymmetric surfaces in R^n."""
     if n < 3:
@@ -154,6 +174,7 @@ def _theta_stencils(theta_ext: np.ndarray, m: int):
     return w[:, :, 0], w[:, :, 1]
 
 
+@functools.lru_cache(maxsize=8)
 def full_grid(n_lat: int = 128, n_lon: int = 256) -> SphereGrid:
     """Latitude-longitude tensor grid on S^2 (ambient dimension 3 only)."""
     if n_lat < 8 or n_lon < 8:
@@ -202,14 +223,20 @@ def make_grid(n: int, mode: str = "axisymmetric", resolution: int = 128) -> Sphe
 
 @dataclass(eq=False)
 class StarShapedSurface:
-    """Positive radial graph over a sphere grid."""
+    """Positive radial graph over a sphere grid.
+
+    rho is a read-only copy of the given values, and :func:`curvature`
+    stores its result on the surface, so neither field is rebound.
+    """
 
     grid: SphereGrid
     rho: np.ndarray
     label: str = ""
+    _curvature: CurvatureData | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=float)
+        self.rho = np.array(self.rho, dtype=float)
+        self.rho.flags.writeable = False
         if self.rho.shape != self.grid.shape:
             raise ValueError(
                 f"rho shape {self.rho.shape} does not match grid shape {self.grid.shape}"
@@ -227,7 +254,8 @@ class CurvatureData:
     element already multiplied by the quadrature weight, so sums over nodes
     are surface integrals.  nu are outward unit normals: meridian (R, Z)
     components in axisymmetric mode, ambient 3-vectors on full grids.
-    points holds node positions in the same components.
+    points holds node positions in the same components.  Every array is
+    read-only: the instance is shared by all callers of :func:`curvature`.
     """
 
     H: np.ndarray
@@ -256,7 +284,7 @@ def make_spheroid(grid: SphereGrid, equatorial: float, polar: float) -> StarShap
     x = grid.x
     rho_1d = a * c / np.sqrt(c * c + (a * a - c * c) * x * x)
     if grid.mode == "full":
-        rho = np.broadcast_to(rho_1d[:, None], grid.shape).copy()
+        rho = np.broadcast_to(rho_1d[:, None], grid.shape)
     else:
         rho = rho_1d
     return StarShapedSurface(grid, rho, label=f"spheroid a={a} c={c}")
@@ -438,7 +466,19 @@ def _axi_geometry(grid: SphereGrid, rho: np.ndarray):
 
 
 def curvature(surface: StarShapedSurface) -> CurvatureData:
-    """All curvature fields of the surface, with respect to the outward normal."""
+    """All curvature fields of the surface, with respect to the outward normal.
+
+    Evaluated once per surface; later calls return the stored result.
+    """
+    if surface._curvature is None:
+        curv = _curvature(surface)
+        _freeze(curv.H, curv.A2, curv.K, curv.Rk, curv.dA, curv.nu, curv.points,
+                curv.kappa_mer, curv.kappa_orb)
+        surface._curvature = curv
+    return surface._curvature
+
+
+def _curvature(surface: StarShapedSurface) -> CurvatureData:
     grid, rho = surface.grid, surface.rho
     n = grid.n
     if grid.mode == "axisymmetric":
@@ -536,15 +576,19 @@ def yamabe_quotients(surface: StarShapedSurface) -> tuple[float, float]:
 
     Y = (integral of R_k) / area^((n-3)/(n-1)); the relative quotient divides
     by Y of the unit sphere computed with the same quadrature pipeline, so
-    round spheres give exactly 1 regardless of resolution.
+    round spheres give exactly 1 regardless of resolution.  The unit
+    sphere's Y is computed once per grid and kept on it.
     """
-    n = surface.grid.n
-    expo = (n - 3) / (n - 1)
-    curv = curvature(surface)
-    y = float((curv.Rk * curv.dA).sum()) / float(curv.dA.sum()) ** expo
-    ref = curvature(make_sphere(surface.grid, 1.0))
-    y_round = float((ref.Rk * ref.dA).sum()) / float(ref.dA.sum()) ** expo
-    return y, y / y_round
+    grid = surface.grid
+    expo = (grid.n - 3) / (grid.n - 1)
+
+    def quotient(curv):
+        return float((curv.Rk * curv.dA).sum()) / float(curv.dA.sum()) ** expo
+
+    if grid._unit_yamabe is None:
+        grid._unit_yamabe = quotient(curvature(make_sphere(grid, 1.0)))
+    y = quotient(curvature(surface))
+    return y, y / grid._unit_yamabe
 
 
 def charge_flux(surface: StarShapedSurface, field) -> float:

@@ -120,6 +120,19 @@ class TestImcfRun:
         ])
         assert rc == 0
 
+    @pytest.mark.parametrize("mode", ["axisymmetric", "full"])
+    def test_surface_file_reports_its_resolution(self, tmp_path, mode):
+        grid = cb.axisymmetric_grid(3, 32) if mode == "axisymmetric" else cb.full_grid(32, 64)
+        cb.save_surface(cb.make_spheroid(grid, 1.0, 1.3), tmp_path / "s.txt")
+        out = tmp_path / "o.json"
+        rc = run([
+            "imcf-run", "--n", "3", "--surface", str(tmp_path / "s.txt"),
+            "--t-end", "0.01", "--dt", "0.01", "--json", str(out),
+        ])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert (doc["grid_mode"], doc["resolution"]) == (mode, 32)
+
 
 class TestVerify:
     def _write(self, tmp_path, text):
@@ -235,6 +248,22 @@ class TestSweep:
         assert len(lines) == 3
         assert "naked singularity" in lines[2]
 
+    def test_overflowing_point_carries_error_column(self, tmp_path):
+        csv = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(["sweep", "--n-list", "3,1000", "--m-list", "1,1e300", "--q-list", "0.5",
+                      "--csv", str(csv)])
+        assert rc == 0
+        rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        assert [row[-1] for row in rows] == [
+            "",
+            "outer horizon radius overflows for m = 1e+300",
+            "unit sphere area overflows in dimension n = 1000",
+            "outer horizon radius overflows for m = 1e+300",
+        ]
+        assert not re.search(r"\b(nan|inf)\b", csv.read_text())
+
     def test_empty_grid_exit_2(self, tmp_path):
         assert run(["sweep", "--n-list", "", "--m-list", "1", "--q-list", "0"]) == 2
 
@@ -281,6 +310,18 @@ def test_commands_never_import_scipy(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[0, 0, 0, 0] []"
+
+
+def test_python_m_chargedbh_runs_from_a_checkout(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cb.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "chargedbh", "rnt-report", "--n", "3", "--m", "1", "--q", "0.5"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["r_plus"] == pytest.approx(1.0 + 0.75**0.5)
 
 
 class TestDeterminism:
@@ -381,6 +422,12 @@ _REJECTED = {
     "full-wrong-angles": (_SURFACE_FLOW, None, ("full", _full_rows_at(9, 9)), "node angles"),
     "surface-resolution-4": (_SURFACE_FLOW + ["--resolution", "4"], None,
                              ("axisymmetric", lambda text: text), "resolution must be >= 8"),
+    "rnt-n-overflow": (["rnt-report", "--n", "1000", "--m", "1", "--q", "0.5", "--out",
+                        "out.json"], None, None, "n = 1000"),
+    "rnt-m-overflow": (["rnt-report", "--n", "3", "--m", "1e300", "--q", "0", "--out",
+                        "out.json"], None, None, "m = 1e+300"),
+    "rnt-area-overflow": (["rnt-report", "--n", "3", "--m", "1e154", "--q", "0", "--out",
+                           "out.json"], None, None, "m = 1e+154"),
 }
 
 

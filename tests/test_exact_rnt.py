@@ -76,6 +76,16 @@ class TestHorizons:
         with pytest.raises(NakedSingularityError):
             cb.horizon_radii(cb.RntParams(3, 1.0, 2.0))
 
+    def test_overflow_rejected_naming_the_parameter(self):
+        with pytest.raises(ValueError, match="n = 1000"):
+            cb.unit_sphere_area(1000)
+        huge = cb.RntParams(3, 1e300, 0.0)
+        for fn in (cb.horizon_radii, cb.horizon_radius_power, cb.horizon_area):
+            with pytest.raises(ValueError, match=r"m = 1e\+300"):
+                fn(huge)
+        with pytest.raises(ValueError, match=r"m = 1e\+154"):
+            cb.horizon_area(cb.RntParams(3, 1e154, 0.0))
+
 
 class TestMassFromHorizon:
     def test_schwarzschild_round_trip(self):

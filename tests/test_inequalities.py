@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chargedbh as cb
-from chargedbh.inequalities import make_report
+from chargedbh.inequalities import _digest, make_report
 
 
 class TestReportLogic:
@@ -181,3 +181,34 @@ class TestConstants:
     def test_d_n_needs_n4(self):
         with pytest.raises(ValueError):
             cb.af_scalar_constant(3)
+
+
+class TestLazyDigest:
+    def test_lazy_digest_equals_eager(self):
+        reports = cb.penrose_report(1.0, 10.0, 0.5, 3)
+        assert all("inputs_digest" not in vars(r) for r in reports)  # not hashed yet
+        inputs = {"mass": 1.0, "area": 10.0, "charge": 0.5, "n": 3}
+        for r in reports:
+            assert r.inputs_digest == _digest(dict(inputs, name=r.name))
+
+        data = cb.rnt_graph_data(4, 2.0, 1.0)
+        horizon = cb.make_spheroid(cb.axisymmetric_grid(4, 32), data.r_start, 1.1 * data.r_start)
+        field = cb.radial_inverse_power_field(1.0, 4)
+        reports, _ = cb.theorem_certificates(horizon, data, field=field, mass=2.0)
+        inputs = {
+            "mass": 2.0,
+            "charge": cb.charge_flux(horizon, field),
+            "area": cb.area(horizon),
+            "int_h": cb.total_mean_curvature(horizon),
+            "int_rk": cb.total_intrinsic_curvature(horizon),
+            "y_rel": cb.yamabe_quotients(horizon)[1],
+            "n": 4,
+        }
+        for r in reports:
+            assert r.inputs_digest == _digest(dict(inputs, name=r.name))
+
+    def test_digest_snapshots_the_inputs(self):
+        inputs = {"m": 1.0}
+        rep = make_report("penrose", 1.0, 0.5, 1e-10, "closed-form", inputs)
+        inputs["m"] = 2.0
+        assert rep.inputs_digest == _digest({"m": 1.0, "name": "penrose"})

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import roots_jacobi, roots_legendre
 
 import chargedbh as cb
+from chargedbh import surface_geometry as sg
 from chargedbh.surface_geometry import DegenerateMetricError, _gauss_jacobi
 
 
@@ -317,3 +318,48 @@ class TestSurfaceIO:
         assert field is None
         assert loaded.grid.mode == "full"
         assert np.abs(loaded.rho - surface.rho).max() < 1e-15
+
+
+class TestComputeOnce:
+    @pytest.mark.parametrize("full", [False, True])
+    def test_horizon_sequence_evaluates_each_surface_once(self, monkeypatch, full):
+        # the benchmark's horizon operation: at most the surface itself and
+        # the grid's unit-sphere reference reach a curvature kernel
+        calls = []
+
+        def counting(kernel):
+            def wrapper(*args):
+                calls.append(kernel.__name__)
+                return kernel(*args)
+
+            return wrapper
+
+        for name in ("_axi_geometry", "_full_fundamental"):
+            monkeypatch.setattr(sg, name, counting(getattr(sg, name)))
+        n = 3 if full else 4
+        if full:
+            surface = cb.random_star_surface(cb.full_grid(16, 32), 11)
+        else:
+            surface = cb.random_convex_surface(cb.axisymmetric_grid(n, 48), 11)
+        data = cb.rnt_graph_data(n, 1.5, 0.6)
+        cb.curvature(surface)
+        cb.area(surface)
+        cb.total_mean_curvature(surface)
+        cb.total_intrinsic_curvature(surface)
+        cb.yamabe_quotients(surface)
+        cb.theorem_certificates(surface, data, field=cb.radial_inverse_power_field(0.6, n))
+        assert 1 <= len(calls) <= 2
+
+    def test_arrays_are_read_only_and_shared(self):
+        grid = cb.axisymmetric_grid(3, 48)
+        assert grid is cb.axisymmetric_grid(3, 48)
+        assert cb.full_grid(16, 32) is cb.full_grid(16, 32)
+        rho = 1.0 + 0.1 * grid.x**2
+        surface = cb.StarShapedSurface(grid, rho)
+        curv = cb.curvature(surface)
+        assert cb.curvature(surface) is curv
+        for arr in (surface.rho, curv.H, grid.weights, cb.full_grid(16, 32).weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        rho[0] = 5.0  # the caller's array is copied, not frozen
+        assert surface.rho[0] != 5.0
