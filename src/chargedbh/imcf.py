@@ -1,21 +1,25 @@
 """Parametric inverse mean curvature flow of star-shaped surfaces.
 
 The surface moves with outward normal speed 1/H, written as a radial-graph
-evolution d(rho)/dt = graph_factor / H with graph_factor =
-sqrt(rho^2 + |grad rho|^2) / rho.  Round spheres evolve exactly as
-rho(t) = rho(0) exp(t/(n-1)) and areas grow exactly like exp(t), which is
-the validation oracle for the discrete evolution law.
+evolution d(rho)/dt = (W / rho) / H with W = sqrt(rho^2 + |grad rho|^2).
+Round spheres evolve exactly as rho(t) = rho(0) exp(t/(n-1)) and areas grow
+exactly like exp(t), which is the validation oracle for the discrete
+evolution law.
 
-Monitors per sampled state: area, total mean curvature, roundness
+Monitors per state: area, total mean curvature, roundness
 (max H / min H - 1) and the decay functional
 M(t) = exp(-((n-2)/(n-1)) t) * integral of H, which is non-increasing along
-the flow for strictly mean-convex surfaces.
+the flow for strictly mean-convex surfaces.  Each step evaluates the speed
+kernel :func:`~chargedbh.surface_geometry.mean_curvature_speed` once at its
+end point; that one (H, W) gives the monitors, the next step's guard and
+its first RK4 stage.  The full curvature fields are built only for the
+states that are kept, when they are read (the flux chain).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,10 +45,22 @@ class FlowMonitors:
 
 @dataclass(eq=False)
 class FlowState:
+    """A surface on the flow at time t, with its monitors.
+
+    ``curvature`` is built from the surface when first read and then kept
+    on it; stepping needs only the mean curvature and the radial speed of
+    the state's own speed-kernel evaluation, which it keeps privately.
+    """
+
     t: float
     surface: sg.StarShapedSurface
-    curvature: sg.CurvatureData
     monitors: FlowMonitors
+    _h: np.ndarray = field(repr=False)  # mean curvature at surface.rho
+    _radial_speed: np.ndarray | None = field(repr=False)  # None unless H > 0
+
+    @property
+    def curvature(self) -> sg.CurvatureData:
+        return sg.curvature(self.surface)
 
 
 @dataclass(frozen=True)
@@ -96,24 +112,48 @@ def _decay_rate(n: int) -> float:
     return (n - 2) / (n - 1)
 
 
+def _check_radius_range(initial: sg.StarShapedSurface, t_end: float) -> None:
+    """Reject a t_end at which the flowed surface's powers of rho overflow.
+
+    By the comparison principle the flow stays inside the sphere of radius
+    max(rho_0) exp(t/(n-1)).  The kernels (det = EG - F^2 on full grids),
+    dA and the flux-chain field form powers of rho up to max(4, n), which
+    must stay finite on that sphere.
+    """
+    n = initial.grid.n
+    power = max(4, n)
+    try:
+        bound = (float(initial.rho.max()) * math.exp(t_end / (n - 1))) ** power
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"t_end = {t_end!r} is too large: the radius bound of the flowed surface, "
+            f"max(rho_0) exp(t_end/(n-1)), overflows in its power {power}"
+        )
+
+
 def _make_state(t: float, surface: sg.StarShapedSurface) -> FlowState:
-    curv = sg.curvature(surface)
-    area = float(curv.dA.sum())
-    int_h = float((curv.H * curv.dA).sum())
-    hmin, hmax = float(curv.H.min()), float(curv.H.max())
+    grid, rho = surface.grid, surface.rho
+    h, w = sg.mean_curvature_speed(grid, rho)
+    da = grid.weights * rho ** (grid.n - 2) * w  # the dA of sg.curvature
+    area = float(da.sum())
+    int_h = float((h * da).sum())
+    hmin, hmax = float(h.min()), float(h.max())
     roundness = hmax / hmin - 1.0 if hmin > 0.0 else math.inf
-    m_decay = math.exp(-_decay_rate(surface.grid.n) * t) * int_h
-    return FlowState(t, surface, curv, FlowMonitors(area, int_h, roundness, m_decay))
+    m_decay = math.exp(-_decay_rate(grid.n) * t) * int_h
+    speed = (w / rho) / h if hmin > 0.0 else None
+    return FlowState(t, surface, FlowMonitors(area, int_h, roundness, m_decay), h, speed)
 
 
 def _speed(grid: sg.SphereGrid, rho: np.ndarray, t: float) -> np.ndarray:
-    h, factor = sg.mean_curvature_speed(grid, rho)
+    h, w = sg.mean_curvature_speed(grid, rho)
     hmin = float(h.min())
     if hmin <= 0.0:
         raise FlowBreakdownError(
             f"mean curvature lost positivity (min H = {hmin:.3e}) at t = {t:.6f}", t
         )
-    return factor / h
+    return (w / rho) / h
 
 
 def _guard_dt(
@@ -156,22 +196,27 @@ def imcf_step(state: FlowState, dt: float, safety_factor: float = 1.0) -> FlowSt
 
     The guard is the parabolic stability bound of :func:`_guard_dt` times
     ``safety_factor``, evaluated from the state's own H; a requested dt
-    above it is split into equal substeps, four speed evaluations each.
-    Raises :class:`FlowBreakdownError` if H loses positivity at any stage,
-    and ValueError unless dt and safety_factor are finite and positive.
+    above it is split into equal substeps.  The first substep's k1 is the
+    state's own radial speed, and the step ends with one speed evaluation
+    at its end point that becomes the new state's monitors, H and speed, so
+    a step makes exactly four speed calls per substep.  Raises
+    :class:`FlowBreakdownError` if H loses positivity at any stage, and
+    ValueError unless dt and safety_factor are finite and positive.
     """
     _require_positive("dt", dt)
     _require_positive("safety_factor", safety_factor)
     grid = state.surface.grid
     rho = state.surface.rho
-    guard = _guard_dt(grid, rho, state.curvature.H, safety_factor)
+    guard = _guard_dt(grid, rho, state._h, safety_factor)
     nsub = max(1, int(math.ceil(dt / guard)))
     if nsub > 2_000_000:
         raise ValueError("step guard demands more than 2e6 substeps; lower dt")
     h = dt / nsub
     t = state.t
-    for _ in range(nsub):
-        k1 = _speed(grid, rho, t)
+    k1 = state._radial_speed
+    for i in range(nsub):
+        if i:
+            k1 = _speed(grid, rho, t)
         k2 = _speed(grid, rho + 0.5 * h * k1, t)
         k3 = _speed(grid, rho + 0.5 * h * k2, t)
         k4 = _speed(grid, rho + h * k3, t)
@@ -179,7 +224,7 @@ def imcf_step(state: FlowState, dt: float, safety_factor: float = 1.0) -> FlowSt
         t += h
     surface = sg.StarShapedSurface(grid, rho, label=state.surface.label)
     new_state = _make_state(state.t + dt, surface)
-    if float(new_state.curvature.H.min()) <= 0.0:
+    if float(new_state._h.min()) <= 0.0:
         raise FlowBreakdownError(
             f"mean curvature lost positivity after step to t = {new_state.t:.6f}",
             new_state.t,
@@ -199,7 +244,8 @@ def run_flow(
     The initial surface must be strictly mean convex.  On breakdown the run
     returns the partial trajectory together with the breakdown time instead
     of raising.  t_end and dt must be finite and positive (safety_factor is
-    checked by :func:`imcf_step`).
+    checked by :func:`imcf_step`), and t_end small enough that the flowed
+    surface's powers of rho stay finite (:func:`_check_radius_range`).
     """
     _require_positive("t_end", t_end)
     _require_positive("dt", dt)
@@ -207,8 +253,9 @@ def run_flow(
         raise ValueError(f"step count t_end / dt overflows ({t_end!r} / {dt!r})")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
+    _check_radius_range(initial, t_end)
     state = _make_state(0.0, initial)
-    if float(state.curvature.H.min()) <= 0.0:
+    if float(state._h.min()) <= 0.0:
         raise ValueError("initial surface is not strictly mean convex")
     states = [state]
     n_steps = int(round(t_end / dt))

@@ -353,10 +353,11 @@ def _axi_derivs(grid: SphereGrid, rho: np.ndarray):
 def _full_theta_extend(grid: SphereGrid, f: np.ndarray) -> np.ndarray:
     # Ghost rows continue the function smoothly through the poles: a point
     # just past the pole equals the antipodal-longitude value.
-    k = f.shape[1]
-    shift = k // 2 if k > 1 else 0
-    north = np.roll(f[[1, 0], :], shift, axis=1)
-    south = np.roll(f[[-1, -2], :], shift, axis=1)
+    north, south = f[[1, 0], :], f[[-1, -2], :]
+    shift = f.shape[1] // 2  # 0 for the one-column axisymmetric work array
+    if shift:
+        north = np.roll(north, shift, axis=1)
+        south = np.roll(south, shift, axis=1)
     return np.concatenate([north, f, south], axis=0)
 
 
@@ -415,7 +416,7 @@ def _full_fundamental(grid: SphereGrid, rho: np.ndarray):
 
     grad2 = rho_t**2 + (rho_p / st) ** 2
     wt2 = work**2 + grad2
-    if np.any(wt2 <= 0.0) or not np.all(np.isfinite(wt2)):
+    if not (0.0 < wt2.min() and wt2.max() < math.inf):  # also catches NaN
         raise DegenerateMetricError("induced metric degenerated")
     wt = np.sqrt(wt2)
 
@@ -453,7 +454,7 @@ def _axi_geometry(grid: SphereGrid, rho: np.ndarray):
     one_m_x2 = 1.0 - x * x
     grad2 = one_m_x2 * rho_x**2
     w2 = rho**2 + grad2
-    if np.any(w2 <= 0.0) or not np.all(np.isfinite(w2)):
+    if not (0.0 < w2.min() and w2.max() < math.inf):  # also catches NaN
         raise DegenerateMetricError("induced metric degenerated")
     w = np.sqrt(w2)
     kappa_orb = (rho + x * rho_x) / (rho * w)
@@ -501,7 +502,7 @@ def _curvature(surface: StarShapedSurface) -> CurvatureData:
 
     e, f, g, ll, mm, nn, wt, rho_t, rho_p, work, axisym = _full_fundamental(grid, rho)
     det = e * g - f * f
-    if np.any(det <= 0.0):
+    if not det.min() > 0.0:
         raise DegenerateMetricError("induced metric degenerated")
     h = (e * nn - 2.0 * f * mm + g * ll) / det
     kgauss = (ll * nn - mm * mm) / det
@@ -533,25 +534,27 @@ def _curvature(surface: StarShapedSurface) -> CurvatureData:
 
 
 def mean_curvature_speed(grid: SphereGrid, rho: np.ndarray):
-    """(H, graph factor) used by the flow: radial speed is graph_factor / H.
+    """(H, W) at rho: the mean curvature and the area factor used by the flow.
 
-    The graph factor sqrt(rho^2 + |grad rho|^2) / rho converts unit normal
-    speed into radial speed.
+    W = sqrt(rho^2 + |grad rho|^2), so the area element is
+    weights * rho^(n-2) * W and the radial speed of the flow is (W / rho) / H
+    (W / rho converts unit normal speed into radial speed).  Both arrays have
+    the grid's shape; for exactly axisymmetric data on a full grid they are
+    broadcast views of one meridian column.
     """
     n = grid.n
     if grid.mode == "axisymmetric":
         kmer, korb, w, _ = _axi_geometry(grid, rho)
-        return kmer + (n - 2) * korb, w / rho
-    e, f, g, ll, mm, nn, wt, _, _, work, axisym = _full_fundamental(grid, rho)
+        return kmer + (n - 2) * korb, w
+    e, f, g, ll, mm, nn, wt, _, _, _, axisym = _full_fundamental(grid, rho)
     det = e * g - f * f
-    if np.any(det <= 0.0):
+    if not det.min() > 0.0:
         raise DegenerateMetricError("induced metric degenerated")
     h = (e * nn - 2.0 * f * mm + g * ll) / det
-    factor = wt / work
     if axisym:
         h = np.broadcast_to(h, grid.shape)
-        factor = np.broadcast_to(factor, grid.shape)
-    return h, factor
+        wt = np.broadcast_to(wt, grid.shape)
+    return h, wt
 
 
 def area(surface: StarShapedSurface) -> float:

@@ -400,6 +400,10 @@ _REJECTED = {
     "safety-factor-0": (_FLOW + ["--safety-factor", "0"], None, None, "safety_factor"),
     "safety-factor-negative": (_FLOW + ["--safety-factor", "-1"], None, None, "safety_factor"),
     "safety-factor-nan": (_FLOW + ["--safety-factor", "nan"], None, None, "safety_factor"),
+    "t-end-overflow": (_FLOW + ["--t-end", "1e300"], None, None, "t_end = 1e+300"),
+    "t-end-above-bound-n3": (_FLOW + ["--t-end", "354.9"], None, None, "t_end = 354.9"),
+    "t-end-above-bound-n5": (_FLOW + ["--n", "5", "--t-end", "567.9"], None, None,
+                             "t_end = 567.9"),
     "charge-nan": (_FLOW + ["--charge", "nan"], None, None, "charge must be finite"),
     "sample-every-0": (_FLOW + ["--sample-every", "0"], None, None, "sample_every"),
     "flow-resolution-4": (_FLOW + ["--resolution", "4"], None, None, "at least 8"),

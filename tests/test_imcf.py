@@ -192,6 +192,74 @@ class TestStepGuard:
             imcf.run_flow(surface, 0.1, 1e-3)
 
 
+class TestOneEvaluationPerStep:
+    @pytest.mark.parametrize("case", ["axi-3", "axi-4", "axi-5", "full-spheroid", "full-star"])
+    def test_monitors_equal_curvature_integrals(self, case):
+        if case.startswith("axi"):
+            surface = cb.make_spheroid(cb.axisymmetric_grid(int(case[-1]), 48), 1.0, 1.6)
+        elif case == "full-spheroid":
+            surface = cb.make_spheroid(cb.full_grid(16, 32), 1.0, 0.6)
+        else:  # not axisymmetric
+            surface = cb.random_star_surface(cb.full_grid(16, 32), 3, amplitude=0.05)
+        t = 0.3
+        state = imcf._make_state(t, surface)
+        curv = sg.curvature(surface)
+        int_h = float((curv.H * curv.dA).sum())
+        assert state.monitors.area == float(curv.dA.sum())
+        assert state.monitors.total_mean_curvature == int_h
+        assert state.monitors.roundness == float(curv.H.max()) / float(curv.H.min()) - 1.0
+        assert state.monitors.mass_decay == math.exp(-imcf._decay_rate(surface.grid.n) * t) * int_h
+        assert np.array_equal(state._h, curv.H)
+        assert state.curvature is curv
+
+    def test_curvature_built_only_for_kept_states(self, monkeypatch):
+        built = []
+        evaluate = sg._curvature
+
+        def counted(surface):
+            built.append(surface)
+            return evaluate(surface)
+
+        monkeypatch.setattr(sg, "_curvature", counted)
+        grid = cb.axisymmetric_grid(4, 32)
+        run = imcf.run_flow(cb.make_spheroid(grid, 1.0, 1.5), 0.1, 2e-3, sample_every=10)
+        assert len(run.states) == 6 and not built
+        imcf.flux_chain(run.states, cb.radial_inverse_power_field(0.5, 4))
+        assert [s.surface for s in run.states] == built
+
+    def test_first_stage_reuses_state_speed(self, monkeypatch):
+        calls = []
+        guards = []
+        speed, guard = sg.mean_curvature_speed, imcf._guard_dt
+
+        def counted_speed(grid, rho):
+            calls.append(1)
+            return speed(grid, rho)
+
+        def recorded_guard(*args):
+            guards.append(guard(*args))
+            return guards[-1]
+
+        monkeypatch.setattr(sg, "mean_curvature_speed", counted_speed)
+        monkeypatch.setattr(imcf, "_guard_dt", recorded_guard)
+        dt = 0.02
+        grid = cb.axisymmetric_grid(4, 32)
+        imcf.run_flow(cb.make_spheroid(grid, 1.0, 0.5), 0.2, dt)
+        nsub = [max(1, math.ceil(dt / g)) for g in guards]
+        assert len(nsub) == 10 and max(nsub) > 1
+        # one evaluation for the initial state, then four per substep with
+        # the end-point evaluation standing in for the next step's k1
+        assert len(calls) == 1 + 4 * sum(nsub)
+
+    @pytest.mark.parametrize("n, below, above", [(3, 354.8, 354.9), (5, 567.8, 567.9)])
+    def test_t_end_bound_from_enclosing_sphere(self, n, below, above):
+        # e^(t/(n-1)) to the power max(4, n) stays finite just below the bound
+        sphere = cb.make_sphere(cb.axisymmetric_grid(n, 16), 1.0)
+        imcf._check_radius_range(sphere, below)
+        with pytest.raises(ValueError, match=f"t_end = {above}"):
+            imcf._check_radius_range(sphere, above)
+
+
 class TestResolutionRobustness:
     def test_monitors_stable_under_refinement(self):
         # spectral axisymmetric monitors move by less than 10x the claimed

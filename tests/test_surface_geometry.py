@@ -186,6 +186,19 @@ class TestValidation:
         with pytest.raises(DegenerateMetricError):
             cb.curvature(cb.make_sphere(grid, 1e-200))
 
+    @pytest.mark.parametrize("mode", ["axisymmetric", "full"])
+    @pytest.mark.parametrize("bad", ["nan-node", "zero"])
+    def test_speed_kernel_rejects_degenerate_rho(self, mode, bad):
+        # the min/max reductions must still catch NaN and a vanishing metric
+        grid = cb.make_grid(3 if mode == "full" else 4, mode, 16)
+        if bad == "zero":
+            rho = np.zeros(grid.shape)
+        else:
+            rho = np.ones(grid.shape)
+            rho.flat[3] = np.nan
+        with pytest.raises(DegenerateMetricError):
+            sg.mean_curvature_speed(grid, rho)
+
 
 class TestYamabe:
     @pytest.mark.parametrize("n", [3, 4, 5])
